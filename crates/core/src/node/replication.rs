@@ -211,17 +211,19 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         if self.role != Role::Leader {
             return;
         }
-        let Some(pr) = self.progress.get(&peer) else {
+        let Some(pr) = self.progress.get_mut(&peer) else {
             return;
         };
         if pr.next <= self.log.base_index() {
             return; // push_entries already requested a snapshot install
         }
+        // Peer responses move this cursor; past our log end no entry
+        // anchors a probe, so pull it back rather than trust it.
+        pr.next = pr.next.min(self.log.last_index().next());
         let prev_index = pr.next.prev();
-        let prev_eterm = self
-            .log
-            .eterm_at(prev_index)
-            .expect("prev entry within retained log");
+        let Some(prev_eterm) = self.log.eterm_at(prev_index) else {
+            return;
+        };
         self.send(
             peer,
             Message::AppendEntries {
@@ -392,6 +394,12 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         let Some(pr) = self.progress.get_mut(&from) else {
             return;
         };
+        // Both positions are the peer's word: a stale, duplicated or forged
+        // response may name indices past our log end, which no follower can
+        // hold. Clamp them so the cursor never leaves `..=last + 1`.
+        let last = self.log.last_index();
+        let match_index = match_index.min(last);
+        let conflict = conflict.map(|c| c.min(last.next()));
         if success {
             if match_index > pr.matched {
                 pr.matched = match_index;

@@ -1168,6 +1168,49 @@ fn divergent_follower_reconciles_in_logarithmic_round_trips() {
 }
 
 #[test]
+fn append_resp_positions_past_log_end_never_panic_the_leader() {
+    // A response naming indices the leader never wrote (stale, duplicated
+    // across a log change, or forged) must not push the peer's cursor past
+    // the log end: the next heartbeat would find no entry to anchor at,
+    // and one panicking node takes down every seat on its worker.
+    let mut net = Net::with_nodes(&[1, 2, 3]);
+    let leader = net.elect();
+    net.put(leader, 1, "k", "v");
+    net.run(5);
+    assert!(net.ok_response(1));
+    let peer = *net.nodes.keys().find(|id| **id != leader).unwrap();
+    let node = &net.nodes[&leader];
+    let (cluster, eterm, last) = (node.cluster(), node.hard.eterm, node.log().last_index());
+    let beyond = LogIndex(last.0 + 1000);
+    for (success, match_index, conflict) in
+        [(false, LogIndex::ZERO, Some(beyond)), (true, beyond, None)]
+    {
+        let msg = Message::AppendResp {
+            cluster,
+            eterm,
+            success,
+            match_index,
+            conflict,
+            probe: 0,
+        };
+        net.queue.push_back(Envelope::new(peer, leader, msg));
+        net.deliver();
+        // Heartbeats re-anchor at the peer's cursor.
+        net.run(3);
+        let pr = &net.nodes[&leader].progress[&peer];
+        assert!(
+            pr.next <= last.next() && pr.matched <= last,
+            "cursor left the log"
+        );
+    }
+    assert!(net.nodes[&leader].is_leader());
+    net.put(leader, 2, "k2", "v2");
+    net.run(5);
+    assert!(net.ok_response(2), "the cluster still commits");
+    net.assert_state_machine_safety();
+}
+
+#[test]
 fn read_index_serves_without_log_append() {
     let mut net = Net::with_nodes(&[1, 2, 3]);
     let leader = net.elect();

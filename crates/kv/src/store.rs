@@ -5,6 +5,7 @@ use recraft_core::StateMachine;
 use recraft_types::codec::{Decode, Encode};
 use recraft_types::{Error, LogIndex, RangeSet, Result};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// A command addressed to the key-value store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,6 +210,20 @@ impl KvStore {
         self.entries.iter().map(|(k, v)| k.len() + v.len()).sum()
     }
 
+    /// The stored pairs inside `ranges`, in key order: one ordered scan per
+    /// constituent range (they are sorted and disjoint), so keys outside
+    /// `ranges` are never visited.
+    fn pairs_in<'a>(
+        &'a self,
+        ranges: &'a RangeSet,
+    ) -> impl Iterator<Item = (&'a Vec<u8>, &'a Bytes)> + Clone + 'a {
+        ranges.ranges().iter().flat_map(move |r| {
+            let end = r.end().map_or(Bound::Unbounded, Bound::Excluded);
+            self.entries
+                .range::<[u8], _>((Bound::Included(r.start()), end))
+        })
+    }
+
     /// The median resident key within `ranges`, as a split point: half the
     /// stored pairs land on each side, which balances a split far better
     /// than a byte-midpoint when the key population is skewed. `None` when
@@ -216,7 +231,7 @@ impl KvStore {
     /// the caller falls back to a byte midpoint or skips the split).
     #[must_use]
     pub fn split_key(&self, ranges: &RangeSet) -> Option<Vec<u8>> {
-        let resident: Vec<&Vec<u8>> = self.entries.keys().filter(|k| ranges.contains(k)).collect();
+        let resident: Vec<&Vec<u8>> = self.pairs_in(ranges).map(|(k, _)| k).collect();
         if resident.len() < 2 {
             return None;
         }
@@ -252,13 +267,10 @@ impl KvStore {
                 }
             }
             Ok(KvCmd::Ingest { data }) => {
-                // The payload is a snapshot: a revision prefix followed by
-                // the encoded map (exactly what `snapshot()` produces).
-                let mut buf = data.clone();
-                if u64::decode(&mut buf).is_ok() {
-                    if let Ok(map) = Self::decode_map(&buf) {
-                        self.entries.extend(map);
-                    }
+                // The payload is a snapshot blob (exactly what `snapshot()`
+                // produces); its revision is ignored.
+                if let Ok((_, map)) = Self::decode_blob(&data) {
+                    self.entries.extend(map);
                 }
                 KvResp::Ok {
                     revision: self.revision,
@@ -282,9 +294,7 @@ impl KvStore {
     /// pairs extend the map, the revision takes the maximum. The chunked
     /// install path feeds one bounded blob at a time through this.
     pub(crate) fn absorb_snapshot_blob(&mut self, data: &Bytes) -> Result<()> {
-        let mut buf = data.clone();
-        let revision = u64::decode(&mut buf)?;
-        let map = Self::decode_map(&buf)?;
+        let (revision, map) = Self::decode_blob(data)?;
         self.entries.extend(map);
         self.revision = self.revision.max(revision);
         Ok(())
@@ -296,21 +306,57 @@ impl KvStore {
         self.revision = revision;
     }
 
-    pub(crate) fn encode_map(map: &BTreeMap<Vec<u8>, Bytes>) -> Bytes {
-        let plain: BTreeMap<Vec<u8>, Vec<u8>> =
-            map.iter().map(|(k, v)| (k.clone(), v.to_vec())).collect();
-        let mut buf = BytesMut::new();
-        plain.encode(&mut buf);
+    /// Encodes key-ordered pairs as a snapshot blob: `[u64 revision]
+    /// [u32 count]`, then each key and value as a `u32`-length-prefixed byte
+    /// string. Byte-for-byte the `revision` followed by a
+    /// `BTreeMap<Vec<u8>, Vec<u8>>` encoding of the same pairs, written in
+    /// one pass into a buffer sized to the exact length up front. The one
+    /// encoder behind [`StateMachine::snapshot`] and `DurableKv`'s segments
+    /// and chunks.
+    pub(crate) fn encode_blob<'a, I>(revision: u64, pairs: I) -> Bytes
+    where
+        I: Iterator<Item = (&'a Vec<u8>, &'a Bytes)> + Clone,
+    {
+        // The sizing pass reads only lengths, which live in the map's nodes;
+        // the bytes themselves are touched once, by the copy.
+        let (count, body) = pairs.clone().fold((0usize, 0usize), |(n, b), (k, v)| {
+            (n + 1, b + 8 + k.len() + v.len())
+        });
+        let mut buf = BytesMut::with_capacity(8 + 4 + body);
+        revision.encode(&mut buf);
+        u32::try_from(count)
+            .expect("snapshot holds too many pairs")
+            .encode(&mut buf);
+        for (key, value) in pairs {
+            key.encode(&mut buf);
+            value.encode(&mut buf);
+        }
+        debug_assert_eq!(buf.len(), 8 + 4 + body, "pre-sized exactly");
         buf.freeze()
     }
 
-    pub(crate) fn decode_map(data: &Bytes) -> Result<BTreeMap<Vec<u8>, Bytes>> {
+    /// Decodes a snapshot blob into its revision and pairs. Values are
+    /// windows of `data` (no copy), so they keep its buffer alive until
+    /// each is overwritten or deleted.
+    ///
+    /// # Errors
+    /// Returns [`Error::Codec`] on truncated or malformed input.
+    pub(crate) fn decode_blob(data: &Bytes) -> Result<(u64, BTreeMap<Vec<u8>, Bytes>)> {
         let mut buf = data.clone();
-        let plain = BTreeMap::<Vec<u8>, Vec<u8>>::decode(&mut buf)?;
-        Ok(plain
-            .into_iter()
-            .map(|(k, v)| (k, Bytes::from(v)))
-            .collect())
+        let revision = u64::decode(&mut buf)?;
+        let count = u32::decode(&mut buf)? as usize;
+        // Every pair carries two 4-byte length prefixes, so a count the
+        // remaining input cannot hold never reserves past it.
+        let mut pairs = Vec::with_capacity(count.min(buf.len() / 8));
+        for _ in 0..count {
+            let key = Vec::<u8>::decode(&mut buf)?;
+            let value = Bytes::decode(&mut buf)?;
+            pairs.push((key, value));
+        }
+        // Key-ordered input: `collect` bulk-builds the tree instead of
+        // inserting pair by pair (a repeated key keeps its last value, as
+        // inserting would).
+        Ok((revision, pairs.into_iter().collect()))
     }
 }
 
@@ -340,43 +386,33 @@ impl StateMachine for KvStore {
     }
 
     fn snapshot(&self, ranges: &RangeSet) -> Bytes {
-        let filtered: BTreeMap<Vec<u8>, Bytes> = self
-            .entries
-            .iter()
-            .filter(|(k, _)| ranges.contains(k))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let mut buf = BytesMut::new();
-        self.revision.encode(&mut buf);
-        buf.extend_from_slice(&Self::encode_map(&filtered));
-        buf.freeze()
+        Self::encode_blob(self.revision, self.pairs_in(ranges))
     }
 
     fn restore(&mut self, data: &Bytes) -> Result<()> {
-        let mut buf = data.clone();
-        let revision = u64::decode(&mut buf)?;
-        let plain = BTreeMap::<Vec<u8>, Vec<u8>>::decode(&mut buf)?;
+        let (revision, entries) = Self::decode_blob(data)?;
         self.revision = revision;
-        self.entries = plain
-            .into_iter()
-            .map(|(k, v)| (k, Bytes::from(v)))
-            .collect();
+        self.entries = entries;
         Ok(())
     }
 
     fn restore_merged(&mut self, parts: &[Bytes]) -> Result<()> {
         let mut combined: BTreeMap<Vec<u8>, Bytes> = BTreeMap::new();
         let mut revision = 0u64;
+        let mut pairs = 0usize;
         for part in parts {
-            let mut buf = part.clone();
-            let part_rev = u64::decode(&mut buf)?;
+            let (part_rev, map) = Self::decode_blob(part)?;
             revision = revision.max(part_rev);
-            let map = Self::decode_map(&buf)?;
-            for (k, v) in map {
-                if combined.insert(k, v).is_some() {
-                    return Err(Error::InvalidRange("merge parts overlap on a key".into()));
-                }
+            pairs += map.len();
+            if combined.is_empty() {
+                combined = map;
+            } else {
+                combined.extend(map);
             }
+        }
+        // A key present in two parts collapses to one entry.
+        if combined.len() != pairs {
+            return Err(Error::InvalidRange("merge parts overlap on a key".into()));
         }
         self.entries = combined;
         self.revision = revision;
@@ -630,6 +666,100 @@ mod tests {
         assert_eq!(seq_resps, batch_resps, "byte-identical responses");
         assert_eq!(seq, batched, "identical end state");
         assert_eq!(batched.revision(), cmds.len() as u64);
+    }
+
+    /// A snapshot's pairs as the original per-element codec typed them.
+    type Plain = BTreeMap<Vec<u8>, Vec<u8>>;
+
+    /// The original codec's writer, spelled out byte by byte: the revision,
+    /// then `BTreeMap<Vec<u8>, Vec<u8>>::encode` as the per-element codec
+    /// loop produced it.
+    fn legacy_blob(revision: u64, map: &Plain) -> Bytes {
+        use bytes::BufMut;
+        let mut buf = BytesMut::new();
+        buf.put_u64(revision);
+        buf.put_u32(map.len() as u32);
+        for (k, v) in map {
+            for bytes in [k, v] {
+                buf.put_u32(bytes.len() as u32);
+                for b in bytes {
+                    buf.put_u8(*b);
+                }
+            }
+        }
+        buf.freeze()
+    }
+
+    /// The original codec's reader, one bounds-checked byte at a time.
+    fn legacy_decode(data: &Bytes) -> Result<(u64, Plain)> {
+        let mut buf = data.clone();
+        let revision = u64::decode(&mut buf)?;
+        let mut map = BTreeMap::new();
+        for _ in 0..u32::decode(&mut buf)? {
+            let mut pair = [Vec::new(), Vec::new()];
+            for bytes in &mut pair {
+                for _ in 0..u32::decode(&mut buf)? {
+                    bytes.push(u8::decode(&mut buf)?);
+                }
+            }
+            let [k, v] = pair;
+            map.insert(k, v);
+        }
+        Ok((revision, map))
+    }
+
+    fn store_of(revision: u64, map: &Plain) -> KvStore {
+        let mut store = KvStore::new();
+        store.set_state(
+            map.iter()
+                .map(|(k, v)| (k.clone(), Bytes::from(v.clone())))
+                .collect(),
+            revision,
+        );
+        store
+    }
+
+    proptest::proptest! {
+        /// The snapshot wire format is unchanged in both directions, so a
+        /// `WalLog` `snapshot.bin` or a `DurableKv` segment written by the
+        /// per-element codec recovers, and the one-pass output decodes
+        /// under the old reader.
+        #[test]
+        fn snapshot_format_matches_per_element_codec(
+            revision: u64,
+            map: Plain,
+            split in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..3),
+        ) {
+            let old = legacy_blob(revision, &map);
+            let expected = store_of(revision, &map);
+            let mut restored = KvStore::new();
+            restored.restore(&old).unwrap();
+            proptest::prop_assert_eq!(&restored, &expected);
+
+            let snap = expected.snapshot(&RangeSet::full());
+            proptest::prop_assert_eq!(&snap, &old, "byte-identical output");
+            proptest::prop_assert_eq!(legacy_decode(&snap).unwrap(), (revision, map.clone()));
+
+            // Range-scoped parts written the old way merge back to the
+            // whole; the one-pass parts are the same bytes.
+            let (lo, hi) = KeyRange::full().split_at(&split).unwrap();
+            let parts: Vec<Bytes> = [lo, hi]
+                .into_iter()
+                .map(|r| {
+                    let part: Plain = map
+                        .iter()
+                        .filter(|(k, _)| r.contains(k))
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    let old_part = legacy_blob(revision, &part);
+                    assert_eq!(expected.snapshot(&RangeSet::from(r)), old_part);
+                    old_part
+                })
+                .collect();
+            let mut merged = KvStore::new();
+            merged.restore_merged(&parts).unwrap();
+            proptest::prop_assert_eq!(&merged, &expected);
+        }
     }
 
     #[test]

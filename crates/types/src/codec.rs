@@ -29,6 +29,18 @@ pub trait Encode {
     /// Appends the binary form of `self` to `buf`.
     fn encode(&self, buf: &mut BytesMut);
 
+    /// Appends every element of `items` in order: the body of a
+    /// length-prefixed `Vec<Self>`. The default encodes one element at a
+    /// time; `u8` overrides it with a single copy.
+    fn encode_slice(items: &[Self], buf: &mut BytesMut)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
     /// Convenience: encodes into a fresh buffer.
     fn encode_to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::new();
@@ -44,6 +56,22 @@ pub trait Decode: Sized {
     /// # Errors
     /// Returns [`Error::Codec`] on truncated or malformed input.
     fn decode(buf: &mut Bytes) -> Result<Self>;
+
+    /// Decodes `len` consecutive elements: the body of a length-prefixed
+    /// `Vec<Self>`. The default decodes one element at a time; `u8`
+    /// overrides it with a single bounds-checked copy.
+    ///
+    /// # Errors
+    /// Returns [`Error::Codec`] on truncated or malformed input.
+    fn decode_vec(len: usize, buf: &mut Bytes) -> Result<Vec<Self>> {
+        // `len` comes off the wire: cap the up-front reservation so a
+        // hostile prefix cannot allocate before the body is checked.
+        let mut out = Vec::with_capacity(len.min(1 << 16));
+        for _ in 0..len {
+            out.push(Self::decode(buf)?);
+        }
+        Ok(out)
+    }
 }
 
 fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
@@ -56,9 +84,20 @@ fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
     Ok(())
 }
 
+/// Appends a `u32` length prefix and the bytes themselves: the wire form of
+/// every byte string (`Vec<u8>`, `Bytes`, `String`).
+fn put_byte_string(bytes: &[u8], buf: &mut BytesMut) {
+    buf.put_u32(u32::try_from(bytes.len()).expect("byte string too long"));
+    buf.put_slice(bytes);
+}
+
 impl Encode for u8 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(*self);
+    }
+
+    fn encode_slice(items: &[u8], buf: &mut BytesMut) {
+        buf.put_slice(items);
     }
 }
 
@@ -66,6 +105,15 @@ impl Decode for u8 {
     fn decode(buf: &mut Bytes) -> Result<Self> {
         need(buf, 1, "u8")?;
         Ok(buf.get_u8())
+    }
+
+    fn decode_vec(len: usize, buf: &mut Bytes) -> Result<Vec<u8>> {
+        // The check precedes the copy, so a length prefix past the input's
+        // end fails without allocating `len`.
+        need(buf, len, "byte string body")?;
+        let out = buf.chunk()[..len].to_vec();
+        buf.advance(len);
+        Ok(out)
     }
 }
 
@@ -113,8 +161,7 @@ impl Decode for bool {
 
 impl Encode for Bytes {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32(u32::try_from(self.len()).expect("byte string too long"));
-        buf.put_slice(self);
+        put_byte_string(self, buf);
     }
 }
 
@@ -128,7 +175,7 @@ impl Decode for Bytes {
 
 impl Encode for String {
     fn encode(&self, buf: &mut BytesMut) {
-        self.as_bytes().to_vec().encode(buf);
+        put_byte_string(self.as_bytes(), buf);
     }
 }
 
@@ -164,20 +211,14 @@ impl<T: Decode> Decode for Option<T> {
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32(u32::try_from(self.len()).expect("collection too long"));
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
 }
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode(buf: &mut Bytes) -> Result<Self> {
         let len = u32::decode(buf)? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 16));
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
+        T::decode_vec(len, buf)
     }
 }
 
@@ -351,6 +392,16 @@ mod tests {
         bad_len.put_u32(100); // claims 100 bytes, provides none
         let mut bytes = bad_len.freeze();
         assert!(Vec::<u8>::decode(&mut bytes).is_err());
+
+        // A 4 GiB claim over three bytes: the length check precedes any
+        // copy (tests/codec_alloc.rs asserts that nothing is allocated).
+        let mut hostile = BytesMut::new();
+        hostile.put_u32(u32::MAX);
+        hostile.put_slice(b"abc");
+        let hostile = hostile.freeze();
+        assert!(Vec::<u8>::decode(&mut hostile.clone()).is_err());
+        assert!(String::decode(&mut hostile.clone()).is_err());
+        assert!(Bytes::decode(&mut hostile.clone()).is_err());
     }
 
     #[test]
@@ -361,7 +412,45 @@ mod tests {
         assert!(Option::<u8>::decode(&mut bad_opt).is_err());
     }
 
+    /// The per-element wire form the `u8` slice hooks must reproduce: a
+    /// `u32` length prefix, then one `put_u8` per byte.
+    fn reference_encode(bytes: &[u8]) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_u32(bytes.len() as u32);
+        for b in bytes {
+            buf.put_u8(*b);
+        }
+        buf.freeze()
+    }
+
+    /// The per-element reader: one bounds check and `get_u8` per byte.
+    fn reference_decode(buf: &mut Bytes) -> Result<Vec<u8>> {
+        let len = u32::decode(buf)? as usize;
+        let mut out = Vec::new();
+        for _ in 0..len {
+            out.push(u8::decode(buf)?);
+        }
+        Ok(out)
+    }
+
     proptest! {
+        #[test]
+        fn byte_strings_match_per_element_reference(data: Vec<u8>, text: String) {
+            let reference = reference_encode(&data);
+            prop_assert_eq!(data.encode_to_bytes(), reference.clone());
+            prop_assert_eq!(Bytes::from(data.clone()).encode_to_bytes(), reference.clone());
+            prop_assert_eq!(text.encode_to_bytes(), reference_encode(text.as_bytes()));
+            // Decoding agrees too, on well-formed and on truncated input.
+            prop_assert_eq!(Vec::<u8>::decode(&mut reference.clone()).unwrap(), data);
+            for cut in [0, reference.len() / 2, reference.len().saturating_sub(1)] {
+                let truncated = reference.slice(..cut);
+                prop_assert_eq!(
+                    Vec::<u8>::decode(&mut truncated.clone()).is_ok(),
+                    reference_decode(&mut truncated.clone()).is_ok()
+                );
+            }
+        }
+
         #[test]
         fn bytes_roundtrip(data: Vec<u8>) {
             roundtrip(data);
